@@ -763,14 +763,9 @@ func buildSkewed(p workload.Params, mode core.Mode, adaptive bool) (*workload.Se
 // with the relsql plan shadow attached, every translated plan evaluation is
 // replayed as rendered SQL on a mirrored database (schema sync + transition
 // loads + execution + multiset compare). The sweep reports update cost with
-// the shadow detached vs attached per translation mode. Requires a build
-// with the sqlite tag; otherwise it prints a note and records nothing.
+// the shadow detached vs attached per translation mode.
 func figSqlite() {
 	curFig = "sqlite"
-	if !relsql.Available() {
-		fmt.Println("\nSQLite backend sweep: skipped — rebuild benchrunner with -tags sqlite")
-		return
-	}
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -403,6 +403,9 @@ func (c *Compiler) compileForClause(cx *ctx, fc xquery.ForClause) error {
 		if seq.Name != "distinct" && seq.Name != "distinct-values" {
 			return fmt.Errorf("unsupported for-source %s", xquery.String(fc.Seq))
 		}
+		if len(seq.Args) != 1 {
+			return fmt.Errorf("%s() takes 1 argument, got %d", seq.Name, len(seq.Args))
+		}
 		tp, err := c.parseTablePath(seq.Args[0])
 		if err != nil {
 			return err
@@ -810,6 +813,9 @@ func (c *Compiler) compileScalar(cx *ctx, e xquery.Expr) (xqgm.Expr, error) {
 		return &xqgm.Logic{Op: x.Op, Args: args}, nil
 	case *xquery.FnCall:
 		if x.Name == "data" || x.Name == "string" {
+			if err := xqgm.CheckCall(x.Name, len(x.Args)); err != nil {
+				return nil, err
+			}
 			inner, err := c.compileScalar(cx, x.Args[0])
 			if err != nil {
 				return nil, err

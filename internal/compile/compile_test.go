@@ -341,6 +341,11 @@ func TestCompileErrors(t *testing.T) {
 		`<v>{for $x in view('default')/product return <a></a>}</v>`,
 		`<v>{for $x in view('default')/product/row return 42}</v>`,
 		`<v>{for $x in view('default')/product/row return <a b={$nope}></a>}</v>`,
+		// Wrong-arity calls are errors, not index-out-of-range panics.
+		`<catalog>{for $p in view('default')/product/row return <product name={data()}/>}</catalog>`,
+		`<catalog>{for $p in view('default')/product/row where data() > 1 return <product name={$p/pname}/>}</catalog>`,
+		`<catalog>{for $p in view('default')/product/row return <product name={string($p/pname, $p/pid)}/>}</catalog>`,
+		`<catalog>{for $m in distinct() return <maker/>}</catalog>`,
 	}
 	for _, src := range bad {
 		if _, err := c.CompileView("bad", src); err == nil {

@@ -83,13 +83,12 @@ type RunOpts struct {
 	// silent mode migrations interleaved mid-stream. The log must STILL
 	// match the goldens: migration is never trigger activity.
 	ModeFlips bool
-	// Backend, when "sqlite", attaches the real-database plan shadow
+	// Backend attaches the real-database plan shadow
 	// (internal/relsql) to the engine: every translated plan evaluation is
 	// replayed as rendered SQL against a mirrored backend database with
 	// real INSERTED_/DELETED_ transition tables, and any result divergence
-	// fails the run. Single-engine styles only. Requires a build with the
-	// sqlite tag (the stub backend errors otherwise).
-	Backend string
+	// fails the run. Single-engine styles only.
+	Backend bool
 	// BackendVerified, when non-nil, receives the number of plan
 	// evaluations the backend shadow verified during the run.
 	BackendVerified *int64
@@ -270,10 +269,7 @@ func RunStyle(sc *Scenario, mode core.Mode, opts RunOpts) (string, error) {
 		}
 		e = coreRun{core.NewEngine(db, mode), db}
 	}
-	if opts.Backend != "" {
-		if opts.Backend != "sqlite" {
-			return "", fmt.Errorf("conformance: unknown backend %q", opts.Backend)
-		}
+	if opts.Backend {
 		cr, ok := e.(coreRun)
 		if !ok {
 			return "", fmt.Errorf("conformance: Backend runs are single-engine only (Shards must be 0)")

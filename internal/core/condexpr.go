@@ -93,6 +93,9 @@ func (cc *condCompiler) compile(e xquery.Expr) (xqgm.Expr, error) {
 	case *xquery.FnCall:
 		switch x.Name {
 		case "count", "empty", "exists", "data", "string", "not", "abs":
+			if err := xqgm.CheckCall(x.Name, len(x.Args)); err != nil {
+				return nil, fmt.Errorf("core: %w", err)
+			}
 			args := make([]xqgm.Expr, len(x.Args))
 			for i, a := range x.Args {
 				ce, err := cc.compile(a)
@@ -253,6 +256,9 @@ func (cc *condCompiler) compileItemPred(e xquery.Expr, itemVar string) (xqgm.Exp
 		}
 		return &xqgm.Logic{Op: x.Op, Args: args}, nil
 	case *xquery.FnCall:
+		if err := xqgm.CheckCall(x.Name, len(x.Args)); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 		args := make([]xqgm.Expr, len(x.Args))
 		for i, a := range x.Args {
 			ce, err := cc.compileItemPred(a, itemVar)

@@ -437,6 +437,11 @@ func TestEngineErrors(t *testing.T) {
 		`CREATE TRIGGER X AFTER INSERT ON view('catalog')/product WHERE OLD_NODE/@name = 'x' DO notifySmith(NEW_NODE)`,
 		`CREATE TRIGGER X AFTER DELETE ON view('catalog')/product DO notifySmith(NEW_NODE)`,
 		`CREATE TRIGGER X AFTER FROB ON view('catalog')/product DO notifySmith(NEW_NODE)`,
+		// Calls are checked against the evaluator's function table when
+		// the trigger is created, not when it first fires.
+		`CREATE TRIGGER X AFTER UPDATE ON view('catalog')/product WHERE count() >= 1 DO notifySmith(NEW_NODE)`,
+		`CREATE TRIGGER X AFTER UPDATE ON view('catalog')/product WHERE count(NEW_NODE/vendor[abs() > 1]) >= 1 DO notifySmith(NEW_NODE)`,
+		`CREATE TRIGGER X AFTER UPDATE ON view('catalog')/product WHERE count(NEW_NODE/vendor[nosuch(./price) > 1]) >= 1 DO notifySmith(NEW_NODE)`,
 	}
 	for _, src := range cases {
 		if err := e.CreateTrigger(src); err == nil {

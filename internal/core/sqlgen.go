@@ -404,19 +404,6 @@ type exprCtx struct {
 	inPath  bool // inside a path-step predicate: input 0 column 0 is ITEM
 }
 
-// sqlCallNames maps evaluator function names to the backend's UDF names.
-var sqlCallNames = map[string]string{
-	"data":       "xml_data",
-	"string":     "xml_string",
-	"count":      "seq_count",
-	"empty":      "seq_empty",
-	"exists":     "seq_exists",
-	"concat":     "concat",
-	"abs":        "ABS",
-	"coalesce":   "COALESCE",
-	"deep-equal": "deep_equal",
-}
-
 func (r *sqlRenderer) renderExpr(e xqgm.Expr, c exprCtx) string {
 	switch x := e.(type) {
 	case *xqgm.ColRef:
@@ -470,16 +457,13 @@ func (r *sqlRenderer) renderExpr(e xqgm.Expr, c exprCtx) string {
 		}
 		return "(" + r.renderExpr(x.E, c) + " IS NULL)"
 	case *xqgm.Call:
-		if x.Name == "not" {
-			return "NOT (" + r.renderExpr(x.Args[0], c) + ")"
-		}
 		args := make([]string, len(x.Args))
 		for i, a := range x.Args {
 			args[i] = r.renderExpr(a, c)
 		}
-		name := sqlCallNames[x.Name]
-		if name == "" {
-			name = sqlIdent(x.Name)
+		name := sqlIdent(x.Name)
+		if f, ok := xqgm.LookupFunc(x.Name); ok {
+			name = f.SQL
 		}
 		return name + "(" + strings.Join(args, ", ") + ")"
 	case *xqgm.ElemCtor:

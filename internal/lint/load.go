@@ -31,8 +31,7 @@ type listPkg struct {
 
 // LoadOptions configure the standalone package loader.
 type LoadOptions struct {
-	Dir  string // module directory to run `go list` in ("" = cwd)
-	Tags string // build tags, comma-separated (maps to -tags)
+	Dir string // module directory to run `go list` in ("" = cwd)
 }
 
 // Load type-checks the packages matching patterns using `go list
@@ -43,9 +42,6 @@ type LoadOptions struct {
 func Load(opts LoadOptions, patterns ...string) ([]*Package, error) {
 	args := []string{"list", "-e", "-deps", "-export",
 		"-json=ImportPath,Dir,Export,GoFiles,DepOnly,Standard,Error"}
-	if opts.Tags != "" {
-		args = append(args, "-tags", opts.Tags)
-	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = opts.Dir

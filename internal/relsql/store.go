@@ -1,5 +1,13 @@
-//go:build sqlite
-
+// Package relsql is the real-database backend: it presents the reldb store
+// through database/sql and replays the RenderSQL output of every compiled
+// trigger plan against real INSERTED_/DELETED_ delta tables, verifying the
+// SQL results against the in-memory evaluator row for row (the paper's
+// translated triggers are plain SQL — this backend proves the rendered text
+// actually executes and agrees).
+//
+// The backend drives the "sqlshim" database/sql driver (internal/sqlshim),
+// an embedded SQLite-dialect engine, so it needs no cgo and no module and
+// builds with the rest of the engine.
 package relsql
 
 import (
@@ -16,9 +24,6 @@ import (
 	"quark/internal/xdm"
 	"quark/internal/xqgm"
 )
-
-// Available reports whether the real-database backend is compiled in.
-func Available() bool { return true }
 
 var shadowSeq atomic.Int64
 
@@ -55,18 +60,6 @@ func (s *Shadow) Close() error {
 
 // Verified reports how many plan evaluations this shadow has verified.
 func (s *Shadow) Verified() int64 { return s.verified.Load() }
-
-// DDL returns the CREATE TABLE statements the shadow issues for the source
-// schema: every base table plus its INSERTED_/DELETED_ transition tables.
-func DDL(sc *schema.Schema) []string {
-	var out []string
-	for _, t := range sc.Tables() {
-		out = append(out, createSQL(t.Name, t, true))
-		out = append(out, createSQL("INSERTED_"+t.Name, t, false))
-		out = append(out, createSQL("DELETED_"+t.Name, t, false))
-	}
-	return out
-}
 
 func createSQL(name string, t *schema.Table, withPK bool) string {
 	var sb strings.Builder

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"quark/internal/xdm"
+	"quark/internal/xqgm"
 )
 
 // DB is an in-memory SQL database over xdm values.
@@ -817,11 +818,8 @@ func collectAggs(e Expr) []*CallE {
 }
 
 func isAggName(name string) bool {
-	switch name {
-	case "count", "sum", "min", "max", "avg", "aggxmlfrag":
-		return true
-	}
-	return false
+	_, ok := xqgm.AggFuncByName(name)
+	return ok
 }
 
 // walkExpr visits e and (when fn returns true) its children. Subqueries are

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"quark/internal/xdm"
+	"quark/internal/xqgm"
 )
 
 // env is the expression evaluation environment: statement context, the scope
@@ -34,10 +35,7 @@ func evalExpr(en *env, e Expr) (xdm.Value, error) {
 			return xdm.Null, err
 		}
 		if x.Op == "not" {
-			if v.IsNull() {
-				return xdm.Null, nil
-			}
-			return xdm.Bool(!v.EffectiveBool()), nil
+			return xqgm.CallFunc("not", []xdm.Value{v})
 		}
 		v = xdm.Atomize(v)
 		if v.IsNull() {

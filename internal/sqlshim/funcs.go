@@ -6,93 +6,69 @@ import (
 	"strings"
 
 	"quark/internal/xdm"
+	"quark/internal/xqgm"
 )
 
-// callScalar dispatches the scalar UDFs emitted by core.RenderSQL. Each
-// mirrors the corresponding internal/xqgm expression exactly.
-func callScalar(name string, vals []xdm.Value) (xdm.Value, error) {
-	switch name {
-	case "xml_data":
-		return xdm.Atomize(vals[0]), nil
-	case "xml_string":
-		return xdm.Str(vals[0].AsString()), nil
-	case "seq_count":
-		return xdm.Int(int64(vals[0].SeqLen())), nil
-	case "seq_empty":
-		return xdm.Bool(vals[0].SeqLen() == 0), nil
-	case "seq_exists":
-		return xdm.Bool(vals[0].SeqLen() > 0), nil
-	case "concat":
-		var sb strings.Builder
-		for _, v := range vals {
-			sb.WriteString(v.AsString())
-		}
-		return xdm.Str(sb.String()), nil
-	case "abs":
-		v := xdm.Atomize(vals[0])
-		if v.IsNull() {
-			return xdm.Null, nil
-		}
-		if v.Kind() == xdm.KindInt {
-			i := v.AsInt()
-			if i < 0 {
-				i = -i
-			}
-			return xdm.Int(i), nil
-		}
-		f := v.AsFloat()
-		if f < 0 {
-			f = -f
-		}
-		return xdm.Float(f), nil
-	case "coalesce":
-		for _, v := range vals {
-			if !v.IsNull() {
-				return v, nil
-			}
-		}
-		return xdm.Null, nil
-	case "deep_equal":
-		return xdm.Bool(xdm.Equal(vals[0], vals[1])), nil
-	case "xml_concat":
-		// Mirrors the compiler's sequence constructor: no flattening here;
-		// consumers splice via AsSeq.
-		return xdm.Seq(append([]xdm.Value{}, vals...)), nil
-	case "xml_parse":
-		n, err := xdm.Parse(vals[0].AsString())
-		if err != nil {
-			return xdm.Null, fmt.Errorf("sqlshim: xml_parse: %v", err)
-		}
-		return xdm.NodeVal(n), nil
-	case "xml_attr":
-		return xdm.NodeVal(xdm.Attr(vals[0].AsString(), vals[1].Lexical())), nil
-	case "xml_element":
-		n := xdm.Elem(vals[0].AsString())
-		for _, v := range vals[1:] {
-			appendContentShim(n, v)
-		}
-		return xdm.NodeVal(n), nil
-	default:
-		return xdm.Null, fmt.Errorf("sqlshim: unknown function %s", name)
-	}
+// udf is one scalar function of the backend: an evaluator kernel under the
+// name core.RenderSQL emits for it, or one of the constructors the renderer
+// emits for element construction, sequences and node literals.
+type udf struct {
+	min, max int // argument count bounds; max < 0 means variadic
+	call     func(args []xdm.Value) (xdm.Value, error)
 }
 
-// appendContentShim mirrors xqgm's element-content assembly: nulls vanish,
-// nodes are deep-copied (attribute nodes route to Attrs via AppendChild),
-// sequences splice recursively, scalars become text nodes of their lexical
-// form.
-func appendContentShim(n *xdm.Node, v xdm.Value) {
-	switch v.Kind() {
-	case xdm.KindNull:
-	case xdm.KindNode:
-		n.AppendChild(v.AsNode().Copy())
-	case xdm.KindSeq:
-		for _, e := range v.AsSeq() {
-			appendContentShim(n, e)
-		}
-	default:
-		n.AppendChild(xdm.TextNd(v.Lexical()))
+// udfs maps lower-case UDF names (the parser lower-cases call names) to
+// their implementations. The evaluator's functions come from its kernel
+// table, inverted through their SQL names.
+var udfs = func() map[string]udf {
+	m := map[string]udf{
+		// Mirrors the compiler's sequence constructor: no flattening
+		// here; consumers splice via AsSeq.
+		"xml_concat": {0, -1, func(a []xdm.Value) (xdm.Value, error) {
+			return xdm.Seq(append([]xdm.Value{}, a...)), nil
+		}},
+		"xml_parse": {1, 1, func(a []xdm.Value) (xdm.Value, error) {
+			n, err := xdm.Parse(a[0].AsString())
+			if err != nil {
+				return xdm.Null, fmt.Errorf("sqlshim: xml_parse: %v", err)
+			}
+			return xdm.NodeVal(n), nil
+		}},
+		"xml_attr": {2, 2, func(a []xdm.Value) (xdm.Value, error) {
+			return xdm.NodeVal(xdm.Attr(a[0].AsString(), a[1].Lexical())), nil
+		}},
+		"xml_element": {1, -1, func(a []xdm.Value) (xdm.Value, error) {
+			n := xdm.Elem(a[0].AsString())
+			for _, v := range a[1:] {
+				xqgm.AppendContent(n, v)
+			}
+			return xdm.NodeVal(n), nil
+		}},
 	}
+	for _, f := range xqgm.Funcs() {
+		name := strings.ToLower(f.SQL)
+		if _, dup := m[name]; dup {
+			panic("sqlshim: two functions share the UDF name " + name)
+		}
+		m[name] = udf{f.MinArgs, f.MaxArgs, func(a []xdm.Value) (xdm.Value, error) {
+			return f.Apply(a), nil
+		}}
+	}
+	return m
+}()
+
+// callScalar dispatches the scalar UDFs emitted by core.RenderSQL. The
+// argument count is checked here, once, before any kernel indexes its
+// arguments: SQL text reaches this point from any database/sql caller.
+func callScalar(name string, vals []xdm.Value) (xdm.Value, error) {
+	u, ok := udfs[name]
+	if !ok {
+		return xdm.Null, fmt.Errorf("sqlshim: unknown function %s", name)
+	}
+	if len(vals) < u.min || (u.max >= 0 && len(vals) > u.max) {
+		return xdm.Null, fmt.Errorf("sqlshim: %s: wrong number of arguments (%d)", name, len(vals))
+	}
+	return u.call(vals)
 }
 
 // evalPathStep implements path_step(input, axis, name[, predicate]). The
@@ -100,7 +76,7 @@ func appendContentShim(n *xdm.Node, v xdm.Value) {
 // ITEM, with the enclosing scope still visible for constants-table columns.
 func evalPathStep(en *env, x *CallE) (xdm.Value, error) {
 	if len(x.Args) < 3 || len(x.Args) > 4 {
-		return xdm.Null, fmt.Errorf("sqlshim: path_step takes 3 or 4 arguments")
+		return xdm.Null, fmt.Errorf("sqlshim: path_step: wrong number of arguments (%d)", len(x.Args))
 	}
 	in, err := evalExpr(en, x.Args[0])
 	if err != nil {
@@ -114,33 +90,9 @@ func evalPathStep(en *env, x *CallE) (xdm.Value, error) {
 	if err != nil {
 		return xdm.Null, err
 	}
-	axis, name := axisV.AsString(), nameV.AsString()
-	var out []xdm.Value
-	for _, item := range in.AsSeq() {
-		n := item.AsNode()
-		if n == nil {
-			continue
-		}
-		switch axis {
-		case "child":
-			for _, c := range n.ChildElements(name) {
-				out = append(out, xdm.NodeVal(c))
-			}
-		case "attribute":
-			if name == "*" {
-				for _, a := range n.Attrs {
-					out = append(out, xdm.ParseTyped(a.Text))
-				}
-			} else if av, ok := n.Attribute(name); ok {
-				out = append(out, xdm.ParseTyped(av))
-			}
-		case "descendant":
-			for _, d := range n.Descendants(name, nil) {
-				out = append(out, xdm.NodeVal(d))
-			}
-		default:
-			return xdm.Null, fmt.Errorf("sqlshim: unsupported axis %q", axis)
-		}
+	out, err := xqgm.StepItems(in, axisV.AsString(), nameV.AsString())
+	if err != nil {
+		return xdm.Null, err
 	}
 	if len(x.Args) == 4 {
 		kept := out[:0]
@@ -157,149 +109,80 @@ func evalPathStep(en *env, x *CallE) (xdm.Value, error) {
 		}
 		out = kept
 	}
-	switch len(out) {
-	case 0:
-		return xdm.Null, nil
-	case 1:
-		return out[0], nil
-	default:
-		return xdm.Seq(out), nil
-	}
+	return xqgm.ItemsValue(out), nil
 }
 
-// evalAggCall computes one aggregate over a group's joined rows, mirroring
-// xqgm.evalAgg: COUNT(expr) sums sequence lengths of non-null values,
-// SUM stays integral when every input is integral, AVG is always float,
-// AGGXMLFRAG orders rows by its internal ORDER BY then splices sequences.
+// evalAggCall computes one aggregate over a group's joined rows with the
+// evaluator's accumulator. AGGXMLFRAG first orders the rows by its own
+// ORDER BY; the evaluator gets that order from its GroupBy input instead.
 func evalAggCall(ctx *qctx, rowScope *scope, setRow setRowFn, a *CallE, rows [][][]xdm.Value) (xdm.Value, error) {
-	en := &env{ctx: ctx, sc: rowScope}
-	argVal := func(jr [][]xdm.Value) (xdm.Value, error) {
-		setRow(jr)
-		return evalExpr(en, a.Args[0])
-	}
-	switch a.Name {
-	case "count":
-		if a.Star {
-			return xdm.Int(int64(len(rows))), nil
-		}
-		n := int64(0)
-		for _, jr := range rows {
-			v, err := argVal(jr)
-			if err != nil {
-				return xdm.Null, err
-			}
-			if !v.IsNull() {
-				n += int64(v.SeqLen())
-			}
-		}
-		return xdm.Int(n), nil
-	case "sum", "avg":
-		sum := 0.0
-		allInt := true
-		isum := int64(0)
-		n := 0
-		for _, jr := range rows {
-			v, err := argVal(jr)
-			if err != nil {
-				return xdm.Null, err
-			}
-			v = xdm.Atomize(v)
-			if v.IsNull() {
-				continue
-			}
-			if v.Kind() == xdm.KindInt {
-				isum += v.AsInt()
-			} else {
-				allInt = false
-			}
-			sum += v.AsFloat()
-			n++
-		}
-		if n == 0 {
-			return xdm.Null, nil
-		}
-		if a.Name == "avg" {
-			return xdm.Float(sum / float64(n)), nil
-		}
-		if allInt {
-			return xdm.Int(isum), nil
-		}
-		return xdm.Float(sum), nil
-	case "min", "max":
-		var best xdm.Value
-		has := false
-		for _, jr := range rows {
-			v, err := argVal(jr)
-			if err != nil {
-				return xdm.Null, err
-			}
-			v = xdm.Atomize(v)
-			if v.IsNull() {
-				continue
-			}
-			if !has {
-				best, has = v, true
-				continue
-			}
-			c := xdm.Compare(v, best)
-			if (a.Name == "min" && c < 0) || (a.Name == "max" && c > 0) {
-				best = v
-			}
-		}
-		if !has {
-			return xdm.Null, nil
-		}
-		return best, nil
-	case "aggxmlfrag":
-		ordered := rows
-		if len(a.OrderBy) > 0 {
-			type krow struct {
-				jr   [][]xdm.Value
-				keys []xdm.Value
-			}
-			krows := make([]krow, len(rows))
-			for i, jr := range rows {
-				setRow(jr)
-				keys := make([]xdm.Value, len(a.OrderBy))
-				for j, o := range a.OrderBy {
-					v, err := evalExpr(en, o.E)
-					if err != nil {
-						return xdm.Null, err
-					}
-					keys[j] = v
-				}
-				krows[i] = krow{jr: jr, keys: keys}
-			}
-			sort.SliceStable(krows, func(x, y int) bool {
-				for j := range a.OrderBy {
-					r := xdm.Compare(krows[x].keys[j], krows[y].keys[j])
-					if a.OrderBy[j].Desc {
-						r = -r
-					}
-					if r != 0 {
-						return r < 0
-					}
-				}
-				return false
-			})
-			ordered = make([][][]xdm.Value, len(krows))
-			for i, kr := range krows {
-				ordered[i] = kr.jr
-			}
-		}
-		var items []xdm.Value
-		for _, jr := range ordered {
-			v, err := argVal(jr)
-			if err != nil {
-				return xdm.Null, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			items = append(items, v.AsSeq()...)
-		}
-		return xdm.Seq(items), nil
-	default:
+	fn, ok := xqgm.AggFuncByName(a.Name)
+	if !ok {
 		return xdm.Null, fmt.Errorf("sqlshim: unknown aggregate %s", a.Name)
 	}
+	if a.Star {
+		if fn != xqgm.AggCount {
+			return xdm.Null, fmt.Errorf("sqlshim: %s: wrong number of arguments (*)", a.Name)
+		}
+		return xdm.Int(int64(len(rows))), nil
+	}
+	if len(a.Args) != 1 {
+		return xdm.Null, fmt.Errorf("sqlshim: %s: wrong number of arguments (%d)", a.Name, len(a.Args))
+	}
+	en := &env{ctx: ctx, sc: rowScope}
+	if fn == xqgm.AggXMLFrag && len(a.OrderBy) > 0 {
+		var err error
+		if rows, err = orderAggRows(en, setRow, a.OrderBy, rows); err != nil {
+			return xdm.Null, err
+		}
+	}
+	acc := xqgm.NewAccumulator(fn)
+	for _, jr := range rows {
+		setRow(jr)
+		v, err := evalExpr(en, a.Args[0])
+		if err != nil {
+			return xdm.Null, err
+		}
+		acc.Add(v)
+	}
+	return acc.Result(), nil
+}
+
+// orderAggRows sorts a group's rows by an aggregate's ORDER BY keys
+// (stable, so ties keep group order).
+func orderAggRows(en *env, setRow setRowFn, by []OrderSpec, rows [][][]xdm.Value) ([][][]xdm.Value, error) {
+	type krow struct {
+		jr   [][]xdm.Value
+		keys []xdm.Value
+	}
+	krows := make([]krow, len(rows))
+	for i, jr := range rows {
+		setRow(jr)
+		keys := make([]xdm.Value, len(by))
+		for j, o := range by {
+			v, err := evalExpr(en, o.E)
+			if err != nil {
+				return nil, err
+			}
+			keys[j] = v
+		}
+		krows[i] = krow{jr: jr, keys: keys}
+	}
+	sort.SliceStable(krows, func(x, y int) bool {
+		for j := range by {
+			r := xdm.Compare(krows[x].keys[j], krows[y].keys[j])
+			if by[j].Desc {
+				r = -r
+			}
+			if r != 0 {
+				return r < 0
+			}
+		}
+		return false
+	})
+	ordered := make([][][]xdm.Value, len(krows))
+	for i, kr := range krows {
+		ordered[i] = kr.jr
+	}
+	return ordered, nil
 }

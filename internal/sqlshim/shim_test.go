@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"quark/internal/xdm"
+	"quark/internal/xqgm"
 )
 
 func mustExec(t *testing.T, db *DB, q string, args ...xdm.Value) *Result {
@@ -169,6 +170,67 @@ func TestXMLFunctionsAndPathStep(t *testing.T) {
 	res = mustExec(t, db,
 		"SELECT xml_data(path_step(xml_parse(doc), 'child', 'b', xml_data(ITEM) > 2)) FROM n")
 	wantRows(t, res, "5")
+}
+
+// TestWrongArityIsAnError: SQL text comes from any database/sql caller, so
+// a call with the wrong number of arguments must fail the statement, not
+// index past the argument list.
+func TestWrongArityIsAnError(t *testing.T) {
+	db := NewDB()
+	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
+	mustExec(t, db, "INSERT INTO t VALUES (1), (2)")
+	for _, q := range []string{
+		"SELECT xml_data()",
+		"SELECT deep_equal(1)",
+		"SELECT xml_attr('a')",
+		"SELECT seq_count()",
+		"SELECT xml_element()",
+		"SELECT abs()",
+		"SELECT abs(1, 2)",
+		"SELECT xml_parse()",
+		"SELECT path_step(1)",
+		"SELECT sum()",
+		"SELECT sum() FROM t",
+		"SELECT sum(*) FROM t",
+		"SELECT min(a, a) FROM t",
+		"SELECT AGGXMLFRAG() FROM t",
+	} {
+		_, err := db.Exec(q)
+		if err == nil || !strings.Contains(err.Error(), "wrong number of arguments") {
+			t.Errorf("%s: err = %v, want a wrong-number-of-arguments error", q, err)
+		}
+	}
+}
+
+// TestEveryEvaluatorFunctionHasAUDF: every function in the evaluator's
+// kernel table executes under the SQL name the renderer emits for it and
+// gives the evaluator's result, so a kernel added to the evaluator without
+// a backend mapping fails here.
+func TestEveryEvaluatorFunctionHasAUDF(t *testing.T) {
+	db := NewDB()
+	for _, f := range xqgm.Funcs() {
+		if f.SQL == "" {
+			t.Errorf("evaluator function %s has no SQL name", f.Name)
+			continue
+		}
+		args := make([]xdm.Value, max(f.MinArgs, 1))
+		for i := range args {
+			args[i] = xdm.Int(1)
+		}
+		q := "SELECT " + f.SQL + "(" + strings.TrimSuffix(strings.Repeat("1, ", len(args)), ", ") + ")"
+		res, err := db.Exec(q)
+		if err != nil {
+			t.Errorf("%s (evaluator %s): %v", q, f.Name, err)
+			continue
+		}
+		want, err := xqgm.CallFunc(f.Name, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0]; !xdm.Equal(got, want) {
+			t.Errorf("%s = %v, evaluator %s gives %v", q, got, f.Name, want)
+		}
+	}
 }
 
 func TestAggXMLFragOrdered(t *testing.T) {

@@ -852,95 +852,20 @@ func sortTuples(rows []Tuple, key []int) {
 }
 
 func evalAgg(a Agg, rows []Tuple) (xdm.Value, error) {
-	switch a.Func {
-	case AggCount:
-		if a.Arg == nil {
-			return xdm.Int(int64(len(rows))), nil
-		}
-		n := int64(0)
-		for _, t := range rows {
-			v, err := a.Arg.Eval(unaryEnv(t))
-			if err != nil {
-				return xdm.Null, err
-			}
-			if !v.IsNull() {
-				n += int64(v.SeqLen())
-			}
-		}
-		return xdm.Int(n), nil
-	case AggSum, AggAvg:
-		sum := 0.0
-		allInt := true
-		isum := int64(0)
-		n := 0
-		for _, t := range rows {
-			v, err := a.Arg.Eval(unaryEnv(t))
-			if err != nil {
-				return xdm.Null, err
-			}
-			v = xdm.Atomize(v)
-			if v.IsNull() {
-				continue
-			}
-			if v.Kind() == xdm.KindInt {
-				isum += v.AsInt()
-			} else {
-				allInt = false
-			}
-			sum += v.AsFloat()
-			n++
-		}
-		if n == 0 {
-			return xdm.Null, nil
-		}
-		if a.Func == AggAvg {
-			return xdm.Float(sum / float64(n)), nil
-		}
-		if allInt {
-			return xdm.Int(isum), nil
-		}
-		return xdm.Float(sum), nil
-	case AggMin, AggMax:
-		var best xdm.Value
-		has := false
-		for _, t := range rows {
-			v, err := a.Arg.Eval(unaryEnv(t))
-			if err != nil {
-				return xdm.Null, err
-			}
-			v = xdm.Atomize(v)
-			if v.IsNull() {
-				continue
-			}
-			if !has {
-				best, has = v, true
-				continue
-			}
-			c := xdm.Compare(v, best)
-			if (a.Func == AggMin && c < 0) || (a.Func == AggMax && c > 0) {
-				best = v
-			}
-		}
-		if !has {
-			return xdm.Null, nil
-		}
-		return best, nil
-	case AggXMLFrag:
-		var items []xdm.Value
-		for _, t := range rows {
-			v, err := a.Arg.Eval(unaryEnv(t))
-			if err != nil {
-				return xdm.Null, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			items = append(items, v.AsSeq()...)
-		}
-		return xdm.Seq(items), nil
-	default:
-		return xdm.Null, fmt.Errorf("xqgm: unknown aggregate %v", a.Func)
+	if a.Func == AggCount && a.Arg == nil {
+		return xdm.Int(int64(len(rows))), nil
 	}
+	acc := NewAccumulator(a.Func)
+	var env Env
+	for _, t := range rows {
+		env.In[0] = t
+		v, err := a.Arg.Eval(&env)
+		if err != nil {
+			return xdm.Null, err
+		}
+		acc.Add(v)
+	}
+	return acc.Result(), nil
 }
 
 // --- union ---

@@ -202,9 +202,8 @@ func And(args ...Expr) Expr {
 	}
 }
 
-// Call is a scalar function call. Supported: data, string, count, not,
-// concat, abs, empty, exists. count/empty/exists apply to a sequence-valued
-// argument (typically an aggXMLFrag column).
+// Call is a scalar function call of one of the functions in the kernel
+// table (Funcs).
 type Call struct {
 	Name string
 	Args []Expr
@@ -220,59 +219,7 @@ func (e *Call) Eval(env *Env) (xdm.Value, error) {
 		}
 		vals[i] = v
 	}
-	switch e.Name {
-	case "data":
-		return xdm.Atomize(vals[0]), nil
-	case "string":
-		return xdm.Str(vals[0].AsString()), nil
-	case "count":
-		return xdm.Int(int64(vals[0].SeqLen())), nil
-	case "empty":
-		return xdm.Bool(vals[0].SeqLen() == 0), nil
-	case "exists":
-		return xdm.Bool(vals[0].SeqLen() > 0), nil
-	case "not":
-		if vals[0].IsNull() {
-			return xdm.Null, nil
-		}
-		return xdm.Bool(!vals[0].EffectiveBool()), nil
-	case "concat":
-		var sb strings.Builder
-		for _, v := range vals {
-			sb.WriteString(v.AsString())
-		}
-		return xdm.Str(sb.String()), nil
-	case "abs":
-		v := xdm.Atomize(vals[0])
-		if v.IsNull() {
-			return xdm.Null, nil
-		}
-		if v.Kind() == xdm.KindInt {
-			i := v.AsInt()
-			if i < 0 {
-				i = -i
-			}
-			return xdm.Int(i), nil
-		}
-		f := v.AsFloat()
-		if f < 0 {
-			f = -f
-		}
-		return xdm.Float(f), nil
-	case "coalesce":
-		for _, v := range vals {
-			if !v.IsNull() {
-				return v, nil
-			}
-		}
-		return xdm.Null, nil
-	case "deep-equal":
-		// Deep structural equality, including node values; this is the
-		// tagger-level OLD_NODE = NEW_NODE comparison of Appendix E.1.
-		return xdm.Bool(xdm.Equal(vals[0], vals[1])), nil
-	default:
-		return xdm.Null, fmt.Errorf("xqgm: unknown function %q", e.Name)
-	}
+	return CallFunc(e.Name, vals)
 }
 
 func (e *Call) String() string {
@@ -339,24 +286,9 @@ func (e *ElemCtor) Eval(env *Env) (xdm.Value, error) {
 		if err != nil {
 			return xdm.Null, err
 		}
-		appendContent(n, v)
+		AppendContent(n, v)
 	}
 	return xdm.NodeVal(n), nil
-}
-
-func appendContent(n *xdm.Node, v xdm.Value) {
-	switch v.Kind() {
-	case xdm.KindNull:
-		// empty content
-	case xdm.KindNode:
-		n.AppendChild(v.AsNode().Copy())
-	case xdm.KindSeq:
-		for _, e := range v.AsSeq() {
-			appendContent(n, e)
-		}
-	default:
-		n.AppendChild(xdm.TextNd(v.Lexical()))
-	}
 }
 
 func (e *ElemCtor) String() string {
@@ -397,34 +329,9 @@ func (e *PathStep) Eval(env *Env) (xdm.Value, error) {
 	if err != nil {
 		return xdm.Null, err
 	}
-	var out []xdm.Value
-	for _, item := range v.AsSeq() {
-		n := item.AsNode()
-		if n == nil {
-			continue
-		}
-		switch e.Axis {
-		case "child":
-			for _, c := range n.ChildElements(e.Name) {
-				out = append(out, xdm.NodeVal(c))
-			}
-		case "attribute":
-			// Attribute values atomize to untyped atomics: parse numerics
-			// so comparisons against numbers behave numerically.
-			if e.Name == "*" {
-				for _, a := range n.Attrs {
-					out = append(out, xdm.ParseTyped(a.Text))
-				}
-			} else if av, ok := n.Attribute(e.Name); ok {
-				out = append(out, xdm.ParseTyped(av))
-			}
-		case "descendant":
-			for _, d := range n.Descendants(e.Name, nil) {
-				out = append(out, xdm.NodeVal(d))
-			}
-		default:
-			return xdm.Null, fmt.Errorf("xqgm: unsupported axis %q", e.Axis)
-		}
+	out, err := StepItems(v, e.Axis, e.Name)
+	if err != nil {
+		return xdm.Null, err
 	}
 	if e.Predicate != nil {
 		kept := out[:0]
@@ -444,14 +351,7 @@ func (e *PathStep) Eval(env *Env) (xdm.Value, error) {
 		}
 		out = kept
 	}
-	switch len(out) {
-	case 0:
-		return xdm.Null, nil
-	case 1:
-		return out[0], nil
-	default:
-		return xdm.Seq(out), nil
-	}
+	return ItemsValue(out), nil
 }
 
 func (e *PathStep) String() string {
